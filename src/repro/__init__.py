@@ -42,6 +42,7 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     FaultSpecError,
+    InvalidInputError,
     JoinDeadlineExceeded,
     PartitionFailedError,
     ReproError,
@@ -60,6 +61,7 @@ __all__ = [
     "FaultSpec",
     "FaultSpecError",
     "IncrementalJoin",
+    "InvalidInputError",
     "JoinConfig",
     "JoinDeadlineExceeded",
     "JoinResult",

@@ -21,7 +21,7 @@ import math
 from typing import Iterator
 
 from repro.core.base import JoinContext, pick_expansion_side
-from repro.core.pairs import Item, PairPayload, ResultPair
+from repro.core.pairs import OBJECT_LEVEL, ChildPairs, Item, PairPayload, ResultPair
 from repro.core.stats import JoinStats
 from repro.kernels.flat import BatchController
 from repro.queues.distance_queue import DistanceQueue
@@ -103,11 +103,7 @@ def hs_incremental(
         }
 
     controller = BatchController(ctx.batch_size())
-    # Staged inserts, bulk-pushed after each expansion (the distance
-    # queue is fed immediately — its cutoff filters the candidates; the
-    # main queue's pop order is insertion-timing invariant within one
-    # expansion).
-    staged: list[tuple[float, PairPayload]] = []
+    all_pairs = distance_queue is not None and ctx.options.distance_queue_all_pairs
 
     def expand_pair(payload: PairPayload) -> None:
         nonlocal flip
@@ -116,35 +112,55 @@ def hs_incremental(
         )
         flip = not flip
         if expand_r:
-            children = ctx.children_r(payload.a)
+            expanded = payload.a
+            children = ctx.children_r(expanded)
             partner = payload.b
         else:
-            children = ctx.children_s(payload.b)
+            expanded = payload.b
+            children = ctx.children_s(expanded)
             partner = payload.a
         batch.tick(children=len(children))
-        cutoff = qdmax() if ctx.options.hs_insert_pruning else math.inf
         # HS pairs the partner with *every* child (no sweep pruning),
-        # so the whole child list is one kernel batch; all distances
-        # are computed (and charged), but only candidates within the
-        # cutoff-at-batch-start cross back into Python.  qDmax only
-        # tightens, so that set is a superset of the true survivors;
-        # each candidate is re-checked against the live cutoff below.
-        # The expanded node's (side, ref) tags the batch so the
-        # backend packs each node's children once, however many
-        # partners it is re-expanded against.
-        expanded = payload.a if expand_r else payload.b
+        # so the whole child list is one kernel batch.  The expanded
+        # node's (side, ref) tags the batch so the backend packs each
+        # node's children once, however many partners it is
+        # re-expanded against.  Candidates reach the main queue as bare
+        # distances plus child indices into one ChildPairs source: the
+        # queue builds a PairPayload only for an entry that enters its
+        # in-memory heap, and most HS candidates spill and are never
+        # read back.
+        tag = (expand_r, expanded.ref)
+        source = ChildPairs(children, partner, expand_r)
+        if distance_queue is None:
+            # HS-IDJ has no cutoff: every child is a candidate, so the
+            # kernel's full distance list is the key column as it is.
+            queue.push_many(
+                ctx.instr.mindist_items(partner.rect, children, tag=tag), source
+            )
+            return
+        cutoff = qdmax() if ctx.options.hs_insert_pruning else math.inf
+        # All distances are computed (and charged), but only candidates
+        # within the cutoff-at-batch-start cross back into Python.
+        # qDmax only tightens, so that set is a superset of the true
+        # survivors; each candidate is re-checked against the live
+        # cutoff below.
         candidates = ctx.instr.mindist_within_items(
-            partner.rect, children, cutoff, tag=(expand_r, expanded.ref)
+            partner.rect, children, cutoff, tag=tag
         )
+        # A node's children are all objects or all nodes.
+        object_pairs = (
+            partner.level == OBJECT_LEVEL
+            and bool(children)
+            and children[0].level == OBJECT_LEVEL
+        )
+        keys: list[float] = []
+        index: list[int] = []
         for i, real in candidates:
             if real > cutoff:
                 continue
-            child = children[i]
-            pair = (
-                PairPayload(child, partner) if expand_r else PairPayload(partner, child)
-            )
-            staged.append((real, pair))
-            if pair.is_object_pair and distance_queue is not None:
+            keys.append(real)
+            index.append(i)
+            if object_pairs:
                 if tracer.enabled:
                     before = distance_queue.cutoff
                     distance_queue.insert(real)
@@ -154,12 +170,13 @@ def hs_incremental(
                 else:
                     distance_queue.insert(real)
                 cutoff = qdmax()
-            elif distance_queue is not None and ctx.options.distance_queue_all_pairs:
-                distance_queue.insert(pair.a.rect.max_dist(pair.b.rect))
+            elif all_pairs:
+                child = children[i]
+                a, b = (child, partner) if expand_r else (partner, child)
+                distance_queue.insert(a.rect.max_dist(b.rect))
                 cutoff = qdmax()
-        if staged:
-            queue.push_many(staged)
-            staged.clear()
+        if keys:
+            queue.push_many(keys, source, index)
 
     try:
         while queue:

@@ -8,6 +8,8 @@ implementation would keep the MBR inside the queue entry.
 
 A queued pair is ``(distance, PairPayload)``; the payload also carries an
 optional compensation record while the adaptive algorithms are at work.
+HS queues its candidates as distances plus a :class:`ChildPairs` source
+that builds the payloads on demand.
 """
 
 from __future__ import annotations
@@ -62,6 +64,31 @@ class PairPayload:
         self.is_object_pair = (
             self.a.level == OBJECT_LEVEL and self.b.level == OBJECT_LEVEL
         )
+
+
+class ChildPairs:
+    """Payload source of one uni-directional expansion: child ``i`` of
+    ``children`` paired with ``partner``.
+
+    The main queue stores an HS candidate as its distance and child
+    index and calls :meth:`payloads` only for the entries that enter its
+    in-memory heap (see ``MainQueue.push_many``).  Plain data, so it
+    pickles.
+    """
+
+    __slots__ = ("children", "partner", "expand_r")
+
+    def __init__(self, children: list[Item], partner: Item, expand_r: bool) -> None:
+        self.children = children
+        self.partner = partner
+        #: The children are on the R side (the pair is ``(child, partner)``).
+        self.expand_r = expand_r
+
+    def payloads(self, index) -> list[PairPayload]:
+        children, partner = self.children, self.partner
+        if self.expand_r:
+            return [PairPayload(children[i], partner) for i in index]
+        return [PairPayload(partner, children[i]) for i in index]
 
 
 class ResultPair(NamedTuple):

@@ -298,22 +298,46 @@ class Instruments:
         """
         n = len(items)
         self.count_real(n)
-        if self.kernels.batched and n >= self.kernels.min_window:
-            packed = self._pack_get(tag) if tag is not None else None
-            if packed is None:
-                if self.flat is not None:
-                    # Zero-copy arena slice of the node's children; same
-                    # coordinate values in the same order as a fresh pack.
-                    packed = self.flat.entry_block(tag, n)
-                if packed is None:
-                    packed = self.kernels.pack_rects([item.rect for item in items])
-                if tag is not None:
-                    self._pack_put(tag, packed)
-            self.count_kernel_batch(n)
+        packed = self._items_packed(items, n, tag)
+        if packed is not None:
             return self.kernels.mindist_packed_within(rect, packed, bound)
         return self.kernels.mindist_within(
             rect, [item.rect for item in items], bound
         )
+
+    def mindist_items(
+        self, rect: Rect, items, tag: object = None
+    ) -> list[float]:
+        """Every distance from ``rect`` to ``.rect``-bearing items, in order.
+
+        :meth:`mindist_within_items` with no bound, minus the indices:
+        the same counting, pack caching and (bitwise) distances.
+        """
+        n = len(items)
+        self.count_real(n)
+        packed = self._items_packed(items, n, tag)
+        if packed is not None:
+            return self.kernels.mindist_packed(rect, packed)
+        return self.kernels.mindist_batch(rect, [item.rect for item in items])
+
+    def _items_packed(self, items, n: int, tag: object):
+        """Packed coordinates of ``items`` for a kernel batch, or ``None``
+        when the batch takes the scalar path (counted as a kernel batch
+        otherwise)."""
+        if not (self.kernels.batched and n >= self.kernels.min_window):
+            return None
+        packed = self._pack_get(tag) if tag is not None else None
+        if packed is None:
+            if self.flat is not None:
+                # Zero-copy arena slice of the node's children; same
+                # coordinate values in the same order as a fresh pack.
+                packed = self.flat.entry_block(tag, n)
+            if packed is None:
+                packed = self.kernels.pack_rects([item.rect for item in items])
+            if tag is not None:
+                self._pack_put(tag, packed)
+        self.count_kernel_batch(n)
+        return packed
 
     def _pack_get(self, tag: object):
         packs = self._packs

@@ -16,13 +16,34 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+_INF = math.inf
+
+
+def _reject(rect: "Rect") -> None:
+    """Raise the typed ingest error for a malformed rectangle."""
+    # Imported here: the resilience package sits above geometry.
+    from repro.resilience.errors import InvalidInputError
+
+    coords = (rect.xmin, rect.ymin, rect.xmax, rect.ymax)
+    if any(math.isnan(c) for c in coords):
+        problem = "NaN coordinate"
+    elif any(math.isinf(c) for c in coords):
+        problem = "infinite coordinate"
+    else:
+        problem = "inverted rectangle"
+    raise InvalidInputError(f"{problem}: {coords}")
+
+
 @dataclass(frozen=True, slots=True)
 class Rect:
     """An axis-aligned rectangle ``[xmin, xmax] x [ymin, ymax]``.
 
     Degenerate rectangles (zero width and/or height) are valid and are used
-    to represent points.  Construction validates that the rectangle is not
-    inverted.
+    to represent points.  Construction validates that every coordinate is
+    finite and the rectangle is not inverted, raising
+    :class:`~repro.resilience.errors.InvalidInputError` otherwise: a NaN
+    would silently drop out of parent MBRs and its object would never be
+    reported.
     """
 
     xmin: float
@@ -31,11 +52,14 @@ class Rect:
     ymax: float
 
     def __post_init__(self) -> None:
-        if self.xmin > self.xmax or self.ymin > self.ymax:
-            raise ValueError(
-                f"inverted rectangle: ({self.xmin}, {self.ymin}, "
-                f"{self.xmax}, {self.ymax})"
-            )
+        # One chained test rejects NaN (every comparison with it is
+        # false), infinities and inversion, with no call on the
+        # accepting path — rectangles are built throughout a join.
+        if not (
+            -_INF < self.xmin <= self.xmax < _INF
+            and -_INF < self.ymin <= self.ymax < _INF
+        ):
+            _reject(self)
 
     # ------------------------------------------------------------------
     # Constructors

@@ -28,6 +28,7 @@ from repro.resilience.errors import (
     CheckpointVersionError,
     FaultSpecError,
     InjectedWorkerCrash,
+    InvalidInputError,
     JoinDeadlineExceeded,
     JoinInterrupted,
     PartitionFailedError,
@@ -49,6 +50,7 @@ __all__ = [
     "FaultSpec",
     "FaultSpecError",
     "InjectedWorkerCrash",
+    "InvalidInputError",
     "JoinDeadlineExceeded",
     "JoinInterrupted",
     "NULL_DEADLINE",

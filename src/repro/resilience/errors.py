@@ -23,6 +23,7 @@ __all__ = [
     "CheckpointVersionError",
     "FaultSpecError",
     "InjectedWorkerCrash",
+    "InvalidInputError",
     "JoinDeadlineExceeded",
     "JoinInterrupted",
     "PartitionFailedError",
@@ -43,6 +44,13 @@ class FaultSpecError(ReproError, ValueError):
     """A ``--inject-faults`` specification could not be parsed."""
 
     exit_code = 64  # EX_USAGE
+
+
+class InvalidInputError(ReproError, ValueError):
+    """Malformed input data, rejected at ingest: a rectangle with a NaN
+    or infinite coordinate, or an inverted one."""
+
+    exit_code = 65  # EX_DATAERR
 
 
 class PartitionFailedError(ReproError):
