@@ -34,6 +34,11 @@ class Item:
     ref: int
     level: int
 
+    def __reduce__(self):
+        # Constructor arguments, as for :class:`Rect` (checkpoints and
+        # spill files hold one Item per queued pair side).
+        return (Item, (self.rect, self.ref, self.level))
+
     @property
     def is_object(self) -> bool:
         return self.level == OBJECT_LEVEL
@@ -64,6 +69,14 @@ class PairPayload:
         self.is_object_pair = (
             self.a.level == OBJECT_LEVEL and self.b.level == OBJECT_LEVEL
         )
+
+    def __reduce__(self):
+        # ``is_object_pair`` is recomputed on load.  A shared ``record``
+        # (one also pending in the compensation queue) is memoized by
+        # the pickler like any other object, so it stays shared.
+        if self.record is None:
+            return (PairPayload, (self.a, self.b))
+        return (PairPayload, (self.a, self.b, self.record))
 
 
 class ChildPairs:

@@ -30,6 +30,7 @@ skipped (Algorithm 3).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -271,21 +272,6 @@ def choose_direction(r: Rect, s: Rect, axis: int) -> bool:
 
 
 @dataclass(slots=True)
-class AnchorScan:
-    """Where one anchor's scan over the other sorted list stopped.
-
-    ``from_r`` tells which side the anchor came from; ``anchor_pos`` is
-    its position in its own sorted list; the scan covered positions
-    ``[start, resume)`` of the *other* sorted list.
-    """
-
-    from_r: bool
-    anchor_pos: int
-    start: int
-    resume: int
-
-
-@dataclass(slots=True)
 class ExpansionRecord:
     """Everything needed to compensate one aggressively-expanded pair.
 
@@ -297,6 +283,14 @@ class ExpansionRecord:
     (inside the window, when ``real_cutoff`` is not ``None``).
     ``real_cutoff is None`` means the in-window real-distance pruning was
     *safe* (done with qDmax) and never needs revisiting.
+
+    The anchors are four parallel columns, one row per anchor in sweep
+    order (see :func:`anchor_columns`): ``from_r[t]`` tells which side
+    anchor ``t`` came from, ``anchor_pos[t]`` is its position in its own
+    sorted list, and its scan covered positions ``[start[t], resume[t])``
+    of the *other* sorted list.  Columns, not an object per anchor: a
+    checkpoint carries every pending record, and an array pickles as one
+    byte string.
 
     ``keys_r``/``keys_s`` are the child lists' sweep-order coordinates
     and ``batch_r``/``batch_s`` the kernels backend's packed coordinate
@@ -311,7 +305,10 @@ class ExpansionRecord:
     forward: bool
     sorted_r: list[Item]
     sorted_s: list[Item]
-    anchors: list[AnchorScan]
+    from_r: array
+    anchor_pos: array
+    start: array
+    resume: array
     axis_cutoff: float
     real_cutoff: float | None
     keys_r: list[float]
@@ -321,11 +318,16 @@ class ExpansionRecord:
 
     def fully_swept(self) -> bool:
         """True when no anchor has unexamined positions left."""
-        for scan in self.anchors:
-            other = self.sorted_s if scan.from_r else self.sorted_r
-            if scan.resume < len(other):
+        n_r, n_s = len(self.sorted_r), len(self.sorted_s)
+        for from_r, resume in zip(self.from_r, self.resume):
+            if resume < (n_s if from_r else n_r):
                 return False
         return True
+
+
+def anchor_columns() -> tuple[array, array, array, array]:
+    """Empty ``(from_r, anchor_pos, start, resume)`` anchor columns."""
+    return array("b"), array("i"), array("i"), array("i")
 
 
 # ----------------------------------------------------------------------
@@ -458,14 +460,14 @@ class PlaneSweeper:
         sorted_r, keys_r, batch_r = self._side(a, children_r, True, axis, forward)
         sorted_s, keys_s, batch_s = self._side(b, children_s, False, axis, forward)
 
-        anchors: list[AnchorScan] | None = [] if keep_record else None
+        anchors = anchor_columns() if keep_record else None
         self._merge_sweep(
             sorted_r, keys_r, batch_r, sorted_s, keys_s, batch_s,
             axis, forward, axis_limit, real_limit, emit, anchors,
         )
-        if not keep_record:
+        if anchors is None:
             return None
-        assert anchors is not None
+        from_r, anchor_pos, start, resume = anchors
         return ExpansionRecord(
             a=a,
             b=b,
@@ -474,7 +476,10 @@ class PlaneSweeper:
             forward=forward,
             sorted_r=sorted_r,
             sorted_s=sorted_s,
-            anchors=anchors,
+            from_r=from_r,
+            anchor_pos=anchor_pos,
+            start=start,
+            resume=resume,
             axis_cutoff=axis_limit(),
             real_cutoff=record_real_cutoff,
             keys_r=keys_r,
@@ -538,8 +543,11 @@ class PlaneSweeper:
         instr = self._instr
         axis_lim = axis_limit()
         real_lim = real_limit()
-        for scan in record.anchors:
-            if scan.from_r:
+        resumes = record.resume
+        for t, (from_r, anchor_pos, start, old_resume) in enumerate(zip(
+            record.from_r, record.anchor_pos, record.start, resumes
+        )):
+            if from_r:
                 own = record.sorted_r
                 other = record.sorted_s
                 other_keys = record.keys_s
@@ -549,11 +557,10 @@ class PlaneSweeper:
                 other = record.sorted_r
                 other_keys = record.keys_r
                 other_batch = record.batch_r
-            anchor = own[scan.anchor_pos]
+            anchor = own[anchor_pos]
             anchor_end = self._end(anchor, axis, forward)
             anchor_rect = anchor.rect
-            begin = scan.start if old_real is not None else scan.resume
-            old_resume = scan.resume
+            begin = start if old_real is not None else old_resume
             n = len(other)
             window, wn = self._window(
                 other_batch, other_keys, begin, n, anchor_end, anchor_rect, axis_lim
@@ -578,16 +585,17 @@ class PlaneSweeper:
                     # real cutoff rejected.
                     assert old_real is not None
                     if real > old_real and real <= real_lim:
-                        self._emit_oriented(anchor, other[idx], real, scan.from_r, emit)
+                        self._emit_oriented(anchor, other[idx], real, from_r, emit)
                         axis_lim = axis_limit()
                         real_lim = real_limit()
                 elif real <= real_lim:
-                    self._emit_oriented(anchor, other[idx], real, scan.from_r, emit)
+                    self._emit_oriented(anchor, other[idx], real, from_r, emit)
                     axis_lim = axis_limit()
                     real_lim = real_limit()
             instr.count_axis(axis_checked)
             instr.count_real(real_done)
-            scan.resume = max(old_resume, new_resume)
+            if new_resume > old_resume:
+                resumes[t] = new_resume
         record.axis_cutoff = axis_limit()
         record.real_cutoff = new_record_real_cutoff
 
@@ -717,7 +725,7 @@ class PlaneSweeper:
         axis_limit: CutoffFn,
         real_limit: CutoffFn,
         emit: EmitFn,
-        anchors: list[AnchorScan] | None,
+        anchors: tuple[array, array, array, array] | None,
     ) -> None:
         """Algorithm 1's PlaneSweep loop over both sorted child lists.
 
@@ -733,7 +741,14 @@ class PlaneSweeper:
         pre-checks, attribute reloads) dominates.  Any semantic change
         must land in both bodies and in :meth:`_scan` (``compensate``
         resumes through it); the three must stay observably identical.
+
+        ``anchors``, when given, are a record's :func:`anchor_columns`;
+        both bodies append one row per anchor.
         """
+        if anchors is not None:
+            add_from_r, add_pos, add_start, add_resume = (
+                column.append for column in anchors
+            )
         if self._flat is None:
             i = j = 0
             n_r, n_s = len(sorted_r), len(sorted_s)
@@ -754,7 +769,10 @@ class PlaneSweeper:
                     forward, axis_limit, real_limit, emit, from_r,
                 )
                 if anchors is not None:
-                    anchors.append(AnchorScan(from_r, own_pos, start, resume))
+                    add_from_r(from_r)
+                    add_pos(own_pos)
+                    add_start(start)
+                    add_resume(resume)
             return
         i = j = 0
         n_r, n_s = len(sorted_r), len(sorted_s)
@@ -855,7 +873,10 @@ class PlaneSweeper:
                 instr.real_distance_computations += scanned
                 charge(scanned * c_real)
             if anchors is not None:
-                anchors.append(AnchorScan(from_r, own_pos, start, stop))
+                add_from_r(from_r)
+                add_pos(own_pos)
+                add_start(start)
+                add_resume(stop)
 
     def _scan(
         self,

@@ -61,6 +61,13 @@ class Rect:
         ):
             _reject(self)
 
+    def __reduce__(self):
+        # The constructor arguments, not the dataclass state: CPython's
+        # slotted-dataclass pickling calls ``fields()`` per object, which
+        # dominated checkpoint capture.  Loading runs ``__post_init__``,
+        # so a corrupt coordinate is rejected on the way in.
+        return (Rect, (self.xmin, self.ymin, self.xmax, self.ymax))
+
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------

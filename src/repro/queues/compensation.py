@@ -51,9 +51,10 @@ class CompensationQueue(Generic[T]):
         """Picklable image: pending records plus the peak/total gauges.
 
         The records themselves carry the per-anchor resume positions
-        (:class:`~repro.core.planesweep.ExpansionRecord` holds its
-        ``AnchorScan`` list), so snapshotting the FIFO captures exactly
-        where each pending compensation would pick up.
+        (:class:`~repro.core.planesweep.ExpansionRecord` holds them as
+        parallel ``array`` columns, updated in place by each
+        compensation), so snapshotting the FIFO captures exactly where
+        each pending compensation would pick up.
         """
         return {
             "items": list(self._items),

@@ -47,9 +47,9 @@ entry at insert, for the ``capacity`` smallest entries of a swap-in
 (the remainder goes back sorted, as a third chunk kind: a
 :class:`_Remainder` that names each entry's payload source and index
 directly, so repeated swap-ins of one pile never nest), and for a page
-flushed to a real spill file (whose format is unchanged).  Chunk order
-is insertion order, so stable-sort tie order and the fresh heap seqs
-are the same as if every entry had been a tuple.
+flushed to a real spill file.  Chunk order is insertion order, so
+stable-sort tie order and the fresh heap seqs are the same as if every
+entry had been a tuple.
 
 A queue abandoned mid-drain in real-spill mode would leak its segment
 files; :meth:`MainQueue.close` (also reachable via the context-manager
@@ -59,14 +59,15 @@ from their teardown.
 Spill I/O is hardened against the two failure shapes a real disk
 produces:
 
-- **writes** — every batch is framed as ``(crc32, pickled-entries)``;
+- **writes** — every batch is framed as a fixed header (blob length,
+  entry count, CRC-32 of the blob) followed by the pickled entry list;
   a failed append (ENOSPC, permissions, an injected fault) rolls the
   file back to the last good batch, flips the queue into memory-
   retention mode (the batch — and all later spills — stay in the
   staging buffers), and counts a ``spill_write_failures`` stat.  The
   join completes with identical results, just without the memory bound;
 - **reads** — a checksum mismatch, unreadable framing, or an
-  entry-count shortfall (truncation) raises the typed
+  entry-count mismatch (truncation) raises the typed
   :class:`~repro.resilience.errors.SpillCorruptionError`.  The data is
   gone, so the queue cannot recover — but the raising path leaves every
   live file registered, and the engines' ``finally`` teardown calls
@@ -80,6 +81,7 @@ import heapq
 import math
 import os
 import pickle
+import struct
 import uuid
 import zlib
 from array import array
@@ -100,6 +102,9 @@ DEFAULT_ENTRY_BYTES = 48
 
 #: Size of the pre-placed boundary table in rho mode.
 MAX_FORMULA_SEGMENTS = 64
+
+#: Spill batch header: blob length, entry count, CRC-32 of the blob.
+_FRAME = struct.Struct("<QII")
 
 
 @dataclass(slots=True)
@@ -135,6 +140,9 @@ class _Block:
     def entries(self) -> list[tuple[float, Any]]:
         """The block's ``(distance, payload)`` pairs, payloads built."""
         return list(zip(self.keys, self.source.payloads(self.index)))
+
+    def copy(self) -> "_Block":
+        return _Block(self.source, array("d", self.keys), array("i", self.index))
 
 
 def _materialize(chunks: list) -> list[tuple[float, Any]]:
@@ -181,6 +189,36 @@ class _Remainder:
         """The remainder's ``(distance, payload)`` pairs, payloads built."""
         return list(zip(self.keys, _build(self.sources, self.refs)))
 
+    def copy(self) -> "_Remainder":
+        return _Remainder(array("d", self.keys), list(self.sources), list(self.refs))
+
+
+def _copy_chunks(chunks: list) -> list:
+    """A copy of ``chunks`` that later appends to either side never
+    reach (payloads and payload sources are shared, not copied)."""
+    return [list(chunk) if type(chunk) is list else chunk.copy() for chunk in chunks]
+
+
+def _frames(data: bytes) -> tuple[list[tuple[int, int, bytes]], str | None]:
+    """Split spill-file bytes into ``(count, crc32, blob)`` batches.
+
+    Returns the batches framed before the first framing fault and that
+    fault's description (``None`` when the framing is sound).  Neither
+    checksums nor blobs are checked here.
+    """
+    batches: list[tuple[int, int, bytes]] = []
+    pos, end = 0, len(data)
+    while pos < end:
+        if end - pos < _FRAME.size:
+            return batches, "truncated batch header"
+        length, count, checksum = _FRAME.unpack_from(data, pos)
+        pos += _FRAME.size
+        if length > end - pos:
+            return batches, "truncated batch"
+        batches.append((count, checksum, data[pos : pos + length]))
+        pos += length
+    return batches, None
+
 
 def _gather(chunks: list) -> tuple[list[float], list, list]:
     """Every entry of ``chunks`` in order as parallel key, source and
@@ -210,8 +248,9 @@ class _Segment:
 
     In simulated mode all entries stay in ``chunks`` (insertion order;
     see the module docstring for the chunk kinds).  In real-spill mode
-    ``chunks`` is only a staging buffer: cold batches are pickled to
-    ``path`` and ``spilled`` counts what lives in the file.
+    ``chunks`` is only a staging buffer: cold batches are written to
+    ``path`` (see :meth:`MainQueue._write_segment`) and ``spilled``
+    counts what lives in the file.
     """
 
     lo: float
@@ -769,33 +808,35 @@ class MainQueue:
     def snapshot(self) -> dict[str, Any]:
         """Self-contained picklable image of the queue's logical state.
 
-        Spilled file batches are read back (checksums validated, file
-        left untouched) and embedded — as are the payloads of every
-        columnar block, so the format is the all-tuple one — so the checkpoint does not dangle
-        references to spill files that swap-ins unlink mid-run.  The
-        heap triples are captured verbatim — the ``seq`` tie-break
-        decides pop order among equal distances, so resumed pops stay
-        byte-identical.  Nothing is charged to the simulated disk:
-        checkpointing must not perturb the paper's cost counters.
+        A segment's spill file is read (file left untouched), every
+        batch's CRC and the entry count are checked, and the file's
+        bytes are embedded verbatim, undecoded — so the checkpoint does
+        not dangle references to spill files that swap-ins unlink
+        mid-run.  Staged chunks are embedded as copies in their own
+        kinds: a columnar block stays keys, indices and its payload
+        source, with no payload built.  The heap triples are captured
+        verbatim — the ``seq`` tie-break decides pop order among equal
+        distances, so resumed pops stay byte-identical.  Nothing is
+        charged to the simulated disk: checkpointing must not perturb
+        the paper's cost counters.
         """
         # A drain in flight is invisible state: fold it back so the
         # captured heap is complete (engines only checkpoint at batch
         # boundaries, so this is a no-op there — it guards direct use).
         self.flush_heads()
 
-        def segment_state(segment: _Segment) -> tuple[float, float, list, int]:
-            entries: list[tuple[float, Any]] = []
+        def segment_state(segment: _Segment) -> tuple:
+            spilled = b""
             if segment.path is not None and segment.path.exists():
-                entries.extend(
-                    self._read_batches(
-                        segment.path, segment.spilled, inject_faults=False
-                    )
-                )
-            entries.extend(segment.entries())
+                spilled = segment.path.read_bytes()
+                self._check_batches(spilled, segment.spilled, str(segment.path))
             # staged_since_flush rides along so the resumed queue's next
             # page-flush charge fires at the same insert as the original
             # run's — without it the simulated response time drifts.
-            return (segment.lo, segment.hi, entries, segment.staged_since_flush)
+            return (
+                segment.lo, segment.hi, spilled, segment.spilled,
+                _copy_chunks(segment.chunks), segment.staged_since_flush,
+            )
 
         return {
             "mem_bound": self._mem_bound,
@@ -815,9 +856,12 @@ class MainQueue:
 
         Counters start fresh — the checkpointed :class:`JoinStats`
         prefix carries the pre-crash counts, and the resumed run's
-        stats are merged on top.  With a real ``spill_dir``, restored
-        segment entries are written straight back out so the resumed
-        run keeps the memory bound.
+        stats are merged on top.  With a real ``spill_dir`` a segment's
+        embedded spill bytes are written back verbatim as its new spill
+        file, followed by its staged entries, so the resumed run keeps
+        the memory bound whichever mode the checkpoint came from;
+        without one (or once a write fails) the bytes are decoded into
+        the segment as a chunk in front of the staged ones.
         """
         self.close()
         if self._spill_dir is not None and not self._spill_dir.exists():
@@ -833,26 +877,30 @@ class MainQueue:
         self._last_segment = None
         self.stats = QueueStats()
 
-        def build(lo: float, hi: float, entries: list, staged: int) -> _Segment:
-            segment = _Segment(lo, hi)
-            # The staging counter only paces the simulated page-flush
-            # charge, so it is restored even when the real-spill rewrite
-            # leaves the staging buffer itself empty.
+        def build(lo, hi, spilled, count, chunks, staged) -> _Segment:
+            segment = _Segment(lo, hi, _copy_chunks(chunks))
+            segment.held = sum(map(len, segment.chunks))
             segment.staged_since_flush = staged
-            batch = list(entries)
-            if batch and self._spill_dir is not None:
-                if self._write_segment(segment, batch):
-                    return segment
-            segment.restage(batch)
+            if count and (
+                self._spill_dir is None
+                or not self._append(segment, spilled, count)
+            ):
+                segment.chunks.insert(
+                    0, self._decode_batches(spilled, count, "checkpointed segment")
+                )
+                segment.held += count
+            if segment.held and self._spill_dir is not None and not self._spill_broken:
+                batch = segment.take()
+                if not self._write_segment(segment, batch):
+                    segment.restage(batch)
             return segment
 
         self._split_segments = [
-            build(lo, hi, entries, staged)
-            for lo, hi, entries, staged in state["split_segments"]
+            build(*segment) for segment in state["split_segments"]
         ]
         self._formula_segments = {
-            index: build(lo, hi, entries, staged)
-            for index, (lo, hi, entries, staged) in state["formula_segments"].items()
+            index: build(*segment)
+            for index, segment in state["formula_segments"].items()
         }
 
     # ------------------------------------------------------------------
@@ -865,9 +913,10 @@ class MainQueue:
     def _write_segment(self, segment: _Segment, batch: list[tuple[float, Any]]) -> bool:
         """Append one checksummed batch to the segment's spill file.
 
-        The on-disk format is one pickled ``(crc32, blob)`` record per
-        batch, where ``blob`` is the pickled entry list — the checksum
-        covers exactly the bytes that will be unpickled on read-back.
+        A batch is a :data:`_FRAME` header — the pickled entry list's
+        length, the entry count and the list's CRC-32 — followed by the
+        pickled list, so the checksum covers exactly the bytes that
+        will be unpickled on read-back.
 
         Returns ``False`` when the write failed (disk full, permissions,
         an injected ``spill_write`` fault): the file is rolled back to
@@ -877,6 +926,14 @@ class MainQueue:
         if self._spill_broken:
             return False
         blob = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
+        header = _FRAME.pack(len(blob), len(batch), zlib.crc32(blob))
+        return self._append(segment, header + blob, len(batch))
+
+    def _append(self, segment: _Segment, data: bytes, count: int) -> bool:
+        """Append framed batches holding ``count`` entries to the
+        segment's spill file (see :meth:`_write_segment`)."""
+        if self._spill_broken:
+            return False
         path = segment.path if segment.path is not None else self._new_spill_path()
         offset: int | None = None
         try:
@@ -884,9 +941,7 @@ class MainQueue:
                 self._faults.maybe_fail_spill_write()
             with open(path, "ab") as f:
                 offset = f.tell()
-                pickle.dump(
-                    (zlib.crc32(blob), blob), f, protocol=pickle.HIGHEST_PROTOCOL
-                )
+                f.write(data)
         except OSError as exc:
             # Roll back any partial append so earlier batches stay
             # readable, then retain this batch (and all later spills)
@@ -906,74 +961,73 @@ class MainQueue:
                 )
             return False
         segment.path = path
-        segment.spilled += len(batch)
+        segment.spilled += count
         return True
 
-    def _read_batches(
-        self, path: Path, expected: int, inject_faults: bool = True
-    ) -> list[tuple[float, Any]]:
-        """Validate and decode every checksummed batch in a spill file.
+    def _corrupt(self, where: str, detail: str) -> SpillCorruptionError:
+        if self.tracer.enabled:
+            self.tracer.event("spill_corruption", path=where, detail=detail)
+        return SpillCorruptionError(f"spill segment {where}: {detail}")
 
-        Non-destructive: the file is neither unlinked nor truncated, so
-        snapshotting can embed a live segment's spilled entries without
-        disturbing it.  Every batch's CRC-32 is validated against its
-        payload, and the total entry count against ``expected``; any
-        mismatch — bit rot, truncation, an injected ``spill_read`` fault
-        — raises :class:`SpillCorruptionError`.  ``inject_faults=False``
-        skips the injection hook (snapshot reads must not advance the
-        ``spill_read`` occurrence counter the drain path relies on).
-        """
-        loaded: list[tuple[float, Any]] = []
-        corrupt: str | None = None
-        with open(path, "rb") as f:
-            while corrupt is None:
-                try:
-                    record = pickle.load(f)
-                except EOFError:
-                    break
-                except Exception as exc:
-                    corrupt = f"unreadable batch framing ({exc})"
-                    break
-                try:
-                    checksum, blob = record
-                except (TypeError, ValueError):
-                    corrupt = "bad batch record shape"
-                    break
-                if inject_faults and self._faults is not None:
-                    blob = self._faults.maybe_corrupt(blob)
-                if zlib.crc32(blob) != checksum:
-                    corrupt = "checksum mismatch"
-                    break
-                try:
-                    loaded.extend(pickle.loads(blob))
-                except Exception as exc:
-                    corrupt = f"bad batch payload ({exc})"
-                    break
-        if corrupt is None and len(loaded) != expected:
-            corrupt = (
-                f"expected {expected} spilled entries, "
-                f"read {len(loaded)} (truncated file)"
-            )
-        if corrupt is not None:
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "spill_corruption", path=str(path), detail=corrupt
+    def _check_batches(
+        self, data: bytes, expected: int, where: str, faults=None
+    ) -> list[tuple[int, bytes]]:
+        """The ``(count, blob)`` batches of spill-file bytes, every CRC
+        and the total entry count checked against ``expected``; any
+        fault raises :class:`SpillCorruptionError`.  ``faults`` is the
+        :class:`~repro.resilience.faults.FaultPlan` whose ``spill_read``
+        site may corrupt each blob before its CRC is checked."""
+        framed, corrupt = _frames(data)
+        batches: list[tuple[int, bytes]] = []
+        for count, checksum, blob in framed:
+            if faults is not None:
+                blob = faults.maybe_corrupt(blob)
+            if zlib.crc32(blob) != checksum:
+                corrupt = "checksum mismatch"
+                break
+            batches.append((count, blob))
+        if corrupt is None:
+            total = sum(count for count, _ in batches)
+            if total != expected:
+                corrupt = (
+                    f"expected {expected} spilled entries, "
+                    f"found {total} (truncated file)"
                 )
-            raise SpillCorruptionError(f"spill segment {path.name}: {corrupt}")
+        if corrupt is not None:
+            raise self._corrupt(where, corrupt)
+        return batches
+
+    def _decode_batches(
+        self, data: bytes, expected: int, where: str, faults=None
+    ) -> list[tuple[float, Any]]:
+        """Validate (see :meth:`_check_batches`) and decode spill-file
+        bytes into their entries, in order."""
+        loaded: list[tuple[float, Any]] = []
+        for count, blob in self._check_batches(data, expected, where, faults):
+            try:
+                entries = pickle.loads(blob)
+            except Exception as exc:
+                raise self._corrupt(where, f"bad batch payload ({exc})") from exc
+            if not isinstance(entries, list) or len(entries) != count:
+                raise self._corrupt(where, "batch entry count mismatch")
+            loaded.extend(entries)
         return loaded
 
     def _read_segment(self, segment: _Segment) -> list[tuple[float, Any]]:
         """Drain a segment: checksummed file batches plus staging.
 
-        Destructive wrapper over :meth:`_read_batches`: on success the
-        spill file is unlinked and the staging buffer cleared.  The
-        raising path leaves the file registered on the segment, so
-        :meth:`close` still unlinks it.
+        On success the spill file is unlinked and the staging buffer
+        cleared.  A bad file — bit rot, truncation, an injected
+        ``spill_read`` fault — raises :class:`SpillCorruptionError` and
+        leaves the file registered on the segment, so :meth:`close`
+        still unlinks it.
         """
         loaded: list[tuple[float, Any]] = []
         path = segment.path
         if path is not None and path.exists():
-            loaded = self._read_batches(path, segment.spilled)
+            loaded = self._decode_batches(
+                path.read_bytes(), segment.spilled, str(path), self._faults
+            )
             path.unlink()
             segment.path = None
         segment.spilled = 0

@@ -9,11 +9,18 @@ checkpoint file.  A later run started with ``resume_from`` restores
 that state and produces the byte-identical remaining result stream
 (see :mod:`repro.resilience.recovery`).
 
-File format (version |version|): one pickled record
+File format (version 2): one pickled record
 ``(MAGIC, FORMAT_VERSION, crc32, blob)`` where ``blob`` is the pickled
-payload dictionary — the same checksummed framing the spill segments
-use, so the CRC covers exactly the bytes that are unpickled on
-read-back.  Writes go to a temp file in the target directory and are
+payload dictionary, so the CRC covers exactly the bytes that are
+unpickled on read-back.  The payload holds values and columns, not
+per-object state: the hot value types (``Rect``, ``Item``,
+``PairPayload``) pickle as their constructor arguments, an expansion
+record's anchors are ``array`` columns, and a main-queue segment's
+spill file rides along as its verified, undecoded bytes (see
+:meth:`repro.queues.main_queue.MainQueue.snapshot`).  Version 1 stored
+per-anchor objects and decoded spill entries; reading one raises
+:class:`~repro.resilience.errors.CheckpointVersionError`.  Writes go
+to a temp file in the target directory and are
 published with ``os.replace``, so a crash (or an injected
 ``checkpoint_write`` ENOSPC) mid-write never clobbers the previous
 checkpoint.
@@ -54,7 +61,7 @@ MAGIC = b"RPCKPT"
 
 #: Bumped whenever the payload schema changes incompatibly; a mismatch
 #: raises :class:`~repro.resilience.errors.CheckpointVersionError`.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Time cadence used when a checkpoint path is set but neither
 #: ``checkpoint_every_pairs`` nor ``checkpoint_every_s`` is.

@@ -280,6 +280,109 @@ def test_parallel_checkpoint_and_resume(staged_trees, tmp_path, mode):
 
 
 # ----------------------------------------------------------------------
+# Real spills: kill with spill files live at capture, then resume
+# ----------------------------------------------------------------------
+
+#: A 64-entry in-memory heap: the joins below spill, split and swap in.
+SPILL_QUEUE = 48 * 64
+
+
+def kill_after(monkeypatch, pairs: int) -> None:
+    """Request a graceful shutdown once the join has emitted ``pairs``
+    results — the path a SIGTERM takes — so the next barrier writes a
+    final checkpoint and raises :class:`JoinInterrupted`."""
+    note_emit = CheckpointManager.note_emit
+
+    def note(self, n=1):
+        note_emit(self, n)
+        if self.emitted >= pairs:
+            CheckpointManager.shutdown_all("SIGTERM")
+
+    monkeypatch.setattr(CheckpointManager, "note_emit", note)
+
+
+def spilled_at_capture(path) -> int:
+    """Main-queue entries that lived in spill files when ``path`` was
+    captured."""
+    queue = load_checkpoint(path)["engine"]["queue"]
+    segments = queue["split_segments"] + list(queue["formula_segments"].values())
+    return sum(segment[3] for segment in segments)
+
+
+@pytest.mark.parametrize("resume_spill", [True, False], ids=["real", "simulated"])
+@pytest.mark.parametrize("algorithm", EXACT_KDJ)
+def test_kdj_kill_resume_with_live_spill_files(
+    point_trees, tmp_path, monkeypatch, algorithm, resume_spill
+):
+    k = 600
+    ref = run(point_trees, algorithm, k=k, queue_memory=SPILL_QUEUE)
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    path = tmp_path / "join.ckpt"
+    kill_after(monkeypatch, k // 2)
+    with pytest.raises(JoinInterrupted):
+        run(
+            point_trees, algorithm, k=k, queue_memory=SPILL_QUEUE,
+            spill_dir=str(spill), checkpoint_path=str(path),
+            checkpoint_every_pairs=50,
+        )
+    monkeypatch.undo()
+    CheckpointManager.reset_shutdown()
+    assert list(spill.iterdir()) == []
+    assert spilled_at_capture(path) > 0
+    resumed = run(
+        point_trees, algorithm, k=k, queue_memory=SPILL_QUEUE,
+        spill_dir=str(spill) if resume_spill else None, resume_from=str(path),
+    )
+    assert stream(resumed) == stream(ref)
+    assert_rows_match(ref.stats.as_row(), resumed.stats.as_row())
+    assert list(spill.iterdir()) == []
+
+
+@pytest.mark.parametrize("resume_spill", [True, False], ids=["real", "simulated"])
+@pytest.mark.parametrize("algorithm", ["amidj", "hs"])
+def test_idj_kill_resume_with_live_spill_files(
+    point_trees, tmp_path, algorithm, resume_spill
+):
+    tree_r, tree_s = point_trees
+    total = 400
+    base = JoinConfig(queue_memory=SPILL_QUEUE)
+    with JoinRunner(tree_r, tree_s, base).idj(algorithm) as ref:
+        reference = [(p.distance, p.ref_r, p.ref_s) for p in ref.next_batch(total)]
+        ref_row = ref.stats().as_row()
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    path = tmp_path / "stream.ckpt"
+    config = JoinConfig(
+        queue_memory=SPILL_QUEUE, spill_dir=str(spill),
+        checkpoint_path=str(path), checkpoint_every_pairs=25,
+    )
+    interrupted = JoinRunner(tree_r, tree_s, config).idj(algorithm)
+    interrupted.next_batch(150)
+    CheckpointManager.shutdown_all("SIGTERM")
+    with pytest.raises(JoinInterrupted):
+        interrupted.next_batch(1)
+    interrupted.close()
+    CheckpointManager.reset_shutdown()
+    assert list(spill.iterdir()) == []
+    assert spilled_at_capture(path) > 0
+    watermark = load_checkpoint(path)["watermark"]
+    resume_config = JoinConfig(
+        queue_memory=SPILL_QUEUE, resume_from=str(path),
+        spill_dir=str(spill) if resume_spill else None,
+    )
+    with JoinRunner(tree_r, tree_s, resume_config).idj(algorithm) as resumed:
+        rest = [
+            (p.distance, p.ref_r, p.ref_s)
+            for p in resumed.next_batch(total - watermark)
+        ]
+        row = resumed.stats().as_row()
+    assert rest == reference[watermark:]
+    assert_rows_match(ref_row, row)
+    assert list(spill.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
 # Recovery: typed errors for every corruption shape
 # ----------------------------------------------------------------------
 

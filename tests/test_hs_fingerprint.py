@@ -19,6 +19,7 @@ from repro import JoinConfig, JoinRunner, RTree
 from repro.core import hs as hs_mod
 from repro.core.pairs import ChildPairs
 from repro.datagen.tiger import synthetic_tiger
+from repro.queues.main_queue import _Block
 
 QUEUE_MEMORY = 48 * 512
 IDJ_PAIRS = 2000
@@ -170,3 +171,18 @@ def test_spilled_candidates_build_no_payload(trees, monkeypatch):
         assert CountingPairs.built + 1 == stats.pops + queue.in_memory_size
         # Most candidates spilled and were never swapped back in.
         assert stats.spilled_entries > 10 * CountingPairs.built
+        # A checkpoint capture keeps the spilled blocks columnar: it
+        # builds no payload, and the restored queue pops the same.
+        built = CountingPairs.built
+        state = queue.snapshot()
+        assert CountingPairs.built == built
+        segments = state["split_segments"] + list(state["formula_segments"].values())
+        blocks = [
+            chunk for segment in segments for chunk in segment[4]
+            if type(chunk) is _Block
+        ]
+        assert sum(map(len, blocks)) > stats.spilled_entries // 2
+        assert {type(block.source) for block in blocks} == {CountingPairs}
+        expected = [queue.pop() for _ in range(300)]
+        queue.restore(state)
+        assert [queue.pop() for _ in range(300)] == expected
